@@ -34,13 +34,8 @@ type Config struct {
 	ExcludeAfterFailures int
 	// ExcludeBackoff is the first exclusion's length in virtual seconds;
 	// each consecutive exclusion of the same machine doubles the backoff,
-	// up to MaxExcludeBackoff. Default 30.
+	// up to maxExcludeBackoffFactor× this base. Default 30.
 	ExcludeBackoff sim.Duration
-	// MaxExcludeBackoff caps the exponential exclusion backoff: doubling
-	// stops at the largest value not exceeding this duration. Default 64×
-	// ExcludeBackoff. A cap below ExcludeBackoff leaves every exclusion at
-	// the base length.
-	MaxExcludeBackoff sim.Duration
 	// FetchRetryTimeout, when positive, bounds how long an attempt with
 	// remote input (shuffle fetches or a non-local block read) may run
 	// before the driver abandons it and retries the task elsewhere,
@@ -60,17 +55,6 @@ type Config struct {
 	// from the spec. Results must be bit-identical either way — the knob
 	// exists so tests can prove that.
 	DisableControlPlaneCache bool
-
-	// WorkerDispatch delegates stage execution to worker-side dispatchers
-	// (see dispatcher.go): the driver keeps admission, pool fair-share, and
-	// attribution, while each worker self-assigns its next task from the
-	// shared pending views the moment one of its slots opens, and finished
-	// stages broadcast their completion metadata peer-to-peer as netsim
-	// control flows instead of per-task driver round trips. Execution
-	// strategy only — results are bit-identical to the centralized path.
-	// Speculation needs the driver's global view of running attempts, so a
-	// driver with Speculation on keeps the centralized pass regardless.
-	WorkerDispatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -88,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExcludeBackoff <= 0 {
 		c.ExcludeBackoff = 30
-	}
-	if c.MaxExcludeBackoff <= 0 {
-		c.MaxExcludeBackoff = 64 * c.ExcludeBackoff
 	}
 	return c
 }
@@ -122,7 +103,6 @@ func (d *Driver) FailMachine(m int) error {
 	// Death supersedes exclusion; recovery starts with a clean record.
 	d.excluded[m] = false
 	d.machineFailures[m] = 0
-	d.markGlobal()
 	for _, h := range d.jobs {
 		if h.finished() {
 			continue

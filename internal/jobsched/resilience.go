@@ -44,7 +44,6 @@ func (d *Driver) RecoverMachine(m int) error {
 	if d.free[m] < 0 {
 		d.free[m] = 0
 	}
-	d.markGlobal()
 	d.schedule()
 	return nil
 }
@@ -126,6 +125,12 @@ func (d *Driver) handleAttemptFailure(st *stageState, ti, w int, reason string) 
 	d.noteMachineFailure(w)
 }
 
+// maxExcludeBackoffFactor caps the exponential exclusion backoff at this
+// multiple of Config.ExcludeBackoff: doubling stops at the largest backoff
+// not exceeding the cap, so the seventh and later exclusions of a machine
+// all last 64× the base.
+const maxExcludeBackoffFactor = 64
+
 // noteMachineFailure counts one failed attempt against machine w and, at
 // the configured threshold, excludes w from new assignments for an
 // exponentially growing backoff.
@@ -138,15 +143,13 @@ func (d *Driver) noteMachineFailure(w int) {
 		return
 	}
 	backoff := d.cfg.ExcludeBackoff
-	for i := 0; i < d.excludeCount[w] && backoff*2 <= d.cfg.MaxExcludeBackoff; i++ {
+	maxBackoff := maxExcludeBackoffFactor * d.cfg.ExcludeBackoff
+	for i := 0; i < d.excludeCount[w] && backoff*2 <= maxBackoff; i++ {
 		backoff *= 2
 	}
 	d.excludeCount[w]++
 	d.machineFailures[w] = 0
 	d.excluded[w] = true
-	// Excluding w can strip the last free home off a pending task, newly
-	// allowing a remote pick elsewhere — a global transition.
-	d.markGlobal()
 	until := d.cluster.Engine.Now() + backoff
 	d.excludeUntil[w] = until
 	d.cluster.Engine.At(until, func() { d.readmitMachine(w, until) })
@@ -159,7 +162,6 @@ func (d *Driver) readmitMachine(w int, until sim.Time) {
 		return
 	}
 	d.excluded[w] = false
-	d.markGlobal()
 	d.schedule()
 }
 
@@ -181,5 +183,5 @@ func (d *Driver) onFetchTimeout(st *stageState, ti, w int, att *attempt) {
 	st.running--
 	d.handleAttemptFailure(st, ti, w,
 		fmt.Sprintf("shuffle fetch did not complete within the %vs fetch timeout", d.cfg.FetchRetryTimeout))
-	d.afterTimeout(w)
+	d.schedule()
 }

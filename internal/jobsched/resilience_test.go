@@ -27,20 +27,10 @@ func TestConfigWithDefaults(t *testing.T) {
 	if c.FetchRetryTimeout != 0 {
 		t.Fatalf("FetchRetryTimeout default = %v, want 0 (disabled)", c.FetchRetryTimeout)
 	}
-	if c.MaxExcludeBackoff != 64*c.ExcludeBackoff {
-		t.Fatalf("MaxExcludeBackoff default = %v, want 64× the %v base", c.MaxExcludeBackoff, c.ExcludeBackoff)
-	}
 	// Explicit values survive; -1 disables exclusion.
-	c = Config{MaxTaskFailures: 2, ExcludeAfterFailures: -1, ExcludeBackoff: 5, FetchRetryTimeout: 7, MaxExcludeBackoff: 11}.withDefaults()
+	c = Config{MaxTaskFailures: 2, ExcludeAfterFailures: -1, ExcludeBackoff: 5, FetchRetryTimeout: 7}.withDefaults()
 	if c.MaxTaskFailures != 2 || c.ExcludeAfterFailures != -1 || c.ExcludeBackoff != 5 || c.FetchRetryTimeout != 7 {
 		t.Fatalf("explicit values not preserved: %+v", c)
-	}
-	if c.MaxExcludeBackoff != 11 {
-		t.Fatalf("explicit MaxExcludeBackoff not preserved: %v", c.MaxExcludeBackoff)
-	}
-	// The default cap derives from an explicit base, not the default base.
-	if c := (Config{ExcludeBackoff: 5}).withDefaults(); c.MaxExcludeBackoff != 320 {
-		t.Fatalf("MaxExcludeBackoff from 5s base = %v, want 320", c.MaxExcludeBackoff)
 	}
 }
 
@@ -444,5 +434,108 @@ func TestSpeculableTaskEdgeCases(t *testing.T) {
 	st.durations = []float64{0, 0, 0}
 	if ti, ok := d.speculableTask(st, 0, now); !ok || ti != 3 {
 		t.Fatalf("zero-duration history: got (%d, %v), want task 3 speculated", ti, ok)
+	}
+}
+
+func TestRecoverMachineResetsExclusionBackoff(t *testing.T) {
+	// Regression: RecoverMachine used to keep excludeCount/excludeUntil, so
+	// a crashed-and-repaired machine inherited pre-crash exponential backoff
+	// escalation. A recovered machine's first re-exclusion must use the base
+	// ExcludeBackoff again.
+	c := testCluster(t, 2)
+	d, _ := fakeDriver(t, c, 1, 1)
+	base := d.cfg.ExcludeBackoff
+	exclude := func() {
+		for i := 0; i < d.cfg.ExcludeAfterFailures; i++ {
+			d.noteMachineFailure(1)
+		}
+	}
+	exclude()
+	if !d.excluded[1] || d.excludeUntil[1] != c.Engine.Now()+base {
+		t.Fatalf("first exclusion until %v, want %v", d.excludeUntil[1], c.Engine.Now()+base)
+	}
+	d.excluded[1] = false // as readmitMachine would
+	exclude()
+	if d.excludeUntil[1] != c.Engine.Now()+2*base {
+		t.Fatalf("second exclusion until %v, want doubled backoff %v", d.excludeUntil[1], c.Engine.Now()+2*base)
+	}
+	if err := d.FailMachine(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RecoverMachine(1); err != nil {
+		t.Fatal(err)
+	}
+	if d.excludeCount[1] != 0 || d.excludeUntil[1] != 0 {
+		t.Fatalf("recovery kept exclusion history: count=%d until=%v", d.excludeCount[1], d.excludeUntil[1])
+	}
+	exclude()
+	if d.excludeUntil[1] != c.Engine.Now()+base {
+		t.Fatalf("post-recovery exclusion until %v, want base backoff %v", d.excludeUntil[1], c.Engine.Now()+base)
+	}
+	if d.excludeCount[1] != 1 {
+		t.Fatalf("post-recovery excludeCount = %d, want 1", d.excludeCount[1])
+	}
+}
+
+func TestMaxExcludeBackoffCapsDoubling(t *testing.T) {
+	// The doubling cap is maxExcludeBackoffFactor× ExcludeBackoff: growth
+	// stops at the largest doubled value not exceeding the cap, however deep
+	// the machine's escalation history.
+	c := testCluster(t, 2)
+	d, _ := fakeDriver(t, c, 1, 1)
+	d.cfg.ExcludeBackoff = 30
+	for _, tc := range []struct {
+		count int
+		want  sim.Duration
+	}{
+		{5, 960},   // 30 doubled five times
+		{6, 1920},  // the sixth doubling reaches 64×30 exactly
+		{7, 1920},  // 3840 would exceed the cap
+		{40, 1920}, // deep history stays capped
+	} {
+		d.excluded[1] = false
+		d.excludeCount[1] = tc.count
+		d.machineFailures[1] = d.cfg.ExcludeAfterFailures
+		d.noteMachineFailure(1)
+		if got := d.excludeUntil[1] - c.Engine.Now(); got != tc.want {
+			t.Fatalf("excludeCount %d: backoff = %v, want %v", tc.count, got, tc.want)
+		}
+	}
+	// The cap follows the configured base.
+	d.cfg.ExcludeBackoff = 5
+	d.excluded[1] = false
+	d.excludeCount[1] = 40
+	d.machineFailures[1] = d.cfg.ExcludeAfterFailures
+	d.noteMachineFailure(1)
+	if got := d.excludeUntil[1] - c.Engine.Now(); got != 320 {
+		t.Fatalf("5s base: capped backoff = %v, want 64×5 = 320", got)
+	}
+}
+
+func TestFetchTimeoutAbortMessageSingleUnit(t *testing.T) {
+	// Regression for the double-unit abort reason: "within the %v s fetch
+	// timeout" rendered two unit suffixes. Drive a reduce into repeated
+	// fetch timeouts until the retry budget aborts the job and check the
+	// rendered reason.
+	c, d := monoDriver(t, 3, Config{FetchRetryTimeout: 2, MaxTaskFailures: 2, ExcludeAfterFailures: -1})
+	h, err := d.Submit(mapReduceJob(6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Engine.At(0.5, func() {
+		for i := 0; i < c.Size(); i++ {
+			c.Fabric.SetLinkSpeed(i, 0.0001)
+		}
+	})
+	d.Run()
+	if h.Err() == nil {
+		t.Fatal("job survived a permanently collapsed network")
+	}
+	msg := h.Err().Error()
+	if !strings.Contains(msg, "within the 2s fetch timeout") {
+		t.Fatalf("abort reason %q lacks the single-unit timeout phrasing", msg)
+	}
+	if strings.Contains(msg, "s s") {
+		t.Fatalf("abort reason %q still renders a double unit", msg)
 	}
 }

@@ -92,12 +92,6 @@ type Fabric struct {
 	compLinks []int   // links in the current component, in discovery order
 	compFlows []*Flow // flows in the current component, in f.order order
 	finished  []*Flow // reusable scratch for complete()
-
-	// Control-plane ledger (control.go): zero-virtual-time message and byte
-	// counters, fabric-wide and per machine per direction.
-	ctrlTotal ControlStats
-	ctrlOut   []ControlStats
-	ctrlIn    []ControlStats
 }
 
 // NewFabric creates a fabric of n NICs, each with the given full-duplex
@@ -129,8 +123,6 @@ func NewFabricBW(eng *sim.Engine, linkBWs []float64) *Fabric {
 	f.linkCap = make([]float64, 2*n)
 	f.linkCnt = make([]int, 2*n)
 	f.linkMark = make([]uint64, 2*n)
-	f.ctrlOut = make([]ControlStats, n)
-	f.ctrlIn = make([]ControlStats, n)
 	return f
 }
 
@@ -139,38 +131,6 @@ func (f *Fabric) NIC(i int) *NIC { return f.nics[i] }
 
 // Size reports the number of machines.
 func (f *Fabric) Size() int { return len(f.nics) }
-
-// MaxLinkBW reports the largest configured link capacity in either direction,
-// from the base (construction-time) rates. Dynamic SetLinkSpeed factors are
-// deliberately excluded: the value bounds the best rate any flow could ever
-// be granted under factors ≤ 1, which is what a conservative lookahead needs
-// to stay valid for a whole run. A factor above 1 invalidates horizons
-// derived from this bound and callers who use such factors must re-derive.
-func (f *Fabric) MaxLinkBW() float64 {
-	var bw float64
-	for _, n := range f.nics {
-		if n.baseEgressBW > bw {
-			bw = n.baseEgressBW
-		}
-		if n.baseIngressBW > bw {
-			bw = n.baseIngressBW
-		}
-	}
-	return bw
-}
-
-// MinTransferLatency reports a lower bound on the time any cross-machine
-// transfer of the given size can take: bytes over the fastest link the fabric
-// owns. A flow's max-min rate never exceeds min(sender egress, receiver
-// ingress) ≤ MaxLinkBW, so no bytes-sized transfer completes sooner. This is
-// the fabric's contribution to the sharded engine's lookahead horizon — the
-// window within which machines cannot affect each other through the network.
-func (f *Fabric) MinTransferLatency(bytes int64) sim.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return sim.Duration(float64(bytes) / f.MaxLinkBW())
-}
 
 // Transfer starts a flow of the given size from machine src to machine dst;
 // done fires when the last byte arrives. Local transfers (src == dst) are
@@ -458,9 +418,7 @@ func (f *Fabric) complete() {
 	f.rerateTouched()
 	// Simultaneously-finishing flows retire in Transfer order (f.order is
 	// insertion-ordered): completion order drives requester-side admission
-	// chains, and Transfer order is deterministic — on a sharded engine the
-	// causal-key merge replays the serial engine's Transfer interleaving
-	// exactly (see sim.Lane.Global).
+	// chains, and Transfer order is deterministic.
 	for _, fl := range finished {
 		fl.done()
 	}

@@ -84,6 +84,59 @@ func TestAbortCheckStopsRunEarly(t *testing.T) {
 	}
 }
 
+// TestOccupancyStatsCountsExecutedEvents pins the engine's event counter:
+// the three values OccupancyStats returns sum to the number of events
+// executed, whether they ran through Run, Step, RunUntil, or an aborted Run
+// (which counts only the executed prefix), and lane and windows stay 0.
+func TestOccupancyStatsCountsExecutedEvents(t *testing.T) {
+	total := func(e *Engine) uint64 {
+		lane, global, windows := e.OccupancyStats()
+		if lane != 0 || windows != 0 {
+			t.Fatalf("lane=%d windows=%d, want 0 on the serial engine", lane, windows)
+		}
+		return lane + global
+	}
+
+	var log []int
+	e := chainEngine(500, &log)
+	e.Run()
+	if got := total(e); got != uint64(len(log)) || got != 500 {
+		t.Fatalf("after Run: count=%d, executed %d, want 500", got, len(log))
+	}
+
+	e = NewEngine()
+	for i := 1; i <= 5; i++ {
+		e.At(Time(i), func() {})
+	}
+	e.Step()
+	e.Step()
+	if got := total(e); got != 2 {
+		t.Fatalf("after two Steps: count=%d, want 2", got)
+	}
+	e.RunUntil(4)
+	if got := total(e); got != 4 {
+		t.Fatalf("after RunUntil(4): count=%d, want 4", got)
+	}
+
+	log = nil
+	e = chainEngine(1000, &log)
+	polls := 0
+	e.SetAbortCheck(10, func() error {
+		polls++
+		if polls >= 4 {
+			return errors.New("stop")
+		}
+		return nil
+	})
+	e.Run()
+	if e.AbortErr() == nil || e.Len() == 0 {
+		t.Fatal("run was not aborted with events pending")
+	}
+	if got := total(e); got != uint64(len(log)) || got != 30 {
+		t.Fatalf("after aborted Run: count=%d, executed %d, want 30", got, len(log))
+	}
+}
+
 // TestAbortResumeIdentity is the reusability property: aborting a run at ANY
 // deadline and then resuming (ClearAbort + Run) must reproduce exactly the
 // uninterrupted event sequence — the abort is a pause, not a perturbation.

@@ -99,11 +99,6 @@ type Request struct {
 	VirtualDeadlineSeconds float64 `json:"virtual_deadline_s,omitempty"`
 	// Telemetry asks for a summary of live utilization snapshots.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// Shards, when above 1, runs the request's simulation on the sharded
-	// engine (that many shards, clamped to the machine count). Execution
-	// strategy only: responses are byte-identical at any value, so the memo
-	// fingerprint deliberately ignores it.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ChaosKind is the workload kind that deliberately panics inside the
@@ -221,9 +216,6 @@ func (r *Request) Validate(chaosAllowed bool) error {
 		}
 	}
 
-	if r.Shards < 0 || r.Shards > MaxMachines {
-		return fmt.Errorf("whatifsvc: shards %d outside [0, %d]", r.Shards, MaxMachines)
-	}
 	if r.DeadlineMillis < 0 {
 		return fmt.Errorf("whatifsvc: deadline_ms %d is negative", r.DeadlineMillis)
 	}
@@ -235,13 +227,10 @@ func (r *Request) Validate(chaosAllowed bool) error {
 
 // Fingerprint canonicalizes everything that determines the response body —
 // workload, cluster, what-ifs, the virtual deadline, and the telemetry flag
-// — into a stable hash. Tenant, the wall-clock budget, and the shard count
-// are deliberately excluded: the first two shape admission, not results, and
-// sharding is an execution strategy with byte-identical output at any shard
-// count (TestGoldenShardedVsSerial), so requests differing only there share
-// a memo entry. The simulator is deterministic (no seed), which
-// is what makes whole-run memoization sound: equal fingerprints imply
-// byte-identical bodies.
+// — into a stable hash. Tenant and the wall-clock budget are deliberately
+// excluded: they shape admission, not results. The simulator is
+// deterministic (no seed), which is what makes whole-run memoization sound:
+// equal fingerprints imply byte-identical bodies.
 func (r *Request) Fingerprint() string {
 	var b []byte
 	appendInt := func(v int64) {

@@ -24,6 +24,7 @@ func TestDecodeRequestStrict(t *testing.T) {
 		{"empty", ``, false},
 		{"not json", `hello`, false},
 		{"unknown field", `{"workload": {"kind": "sort", "total_mb": 1}, "cluster": {"machines": 1}, "bogus": 1}`, false},
+		{"removed shards field", `{"workload": {"kind": "sort", "total_mb": 1}, "cluster": {"machines": 1}, "shards": 2}`, false},
 		{"trailing data", validRequestJSON() + `{"second": "object"}`, false},
 		{"wrong type", `{"workload": "sort"}`, false},
 		{"oversized", `{"tenant": "` + strings.Repeat("x", MaxBodyBytes) + `"}`, false},

@@ -72,45 +72,23 @@ func (e idleExec) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	panic("perf: idleExec launched a task")
 }
 
-// submitDriver builds the zero-capacity driver BenchDriverSubmit and its
-// delegated twin share: submissions exercise only the control plane.
-func submitDriver(tb testing.TB, cfg jobsched.Config) (*jobsched.Driver, *task.JobSpec) {
-	c, err := cluster.New(2, cluster.M2_4XLarge())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	env, spec := steadySpec(tb, c)
-	execs := make([]task.Executor, c.Size())
-	for i := range execs {
-		execs[i] = idleExec{id: i}
-	}
-	d, err := jobsched.NewWithConfig(c, env.FS, execs, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return d, spec
-}
-
 // BenchDriverSubmit measures the allocation cost of SubmitWith alone:
 // identical jobs into a zero-capacity cluster, so each op is exactly one
 // control-plane instantiation (template-cache hit after the first).
 func BenchDriverSubmit(b *testing.B) {
-	d, spec := submitDriver(b, jobsched.Config{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Submit(spec); err != nil {
-			b.Fatal(err)
-		}
+	c, err := cluster.New(2, cluster.M2_4XLarge())
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchDriverSubmitDelegated is BenchDriverSubmit with worker-side dispatch
-// on: each admission also issues the workers' partition-range grants, so this
-// pins that delegation keeps the submission hot path allocation-free beyond
-// the centralized cost.
-func BenchDriverSubmitDelegated(b *testing.B) {
-	d, spec := submitDriver(b, jobsched.Config{WorkerDispatch: true})
+	env, spec := steadySpec(b, c)
+	execs := make([]task.Executor, c.Size())
+	for i := range execs {
+		execs[i] = idleExec{id: i}
+	}
+	d, err := jobsched.NewWithConfig(c, env.FS, execs, jobsched.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
