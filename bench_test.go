@@ -10,16 +10,20 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/figures"
 	"repro/perf"
 )
 
+// benchOptions runs each experiment's grid with one worker per CPU.
+var benchOptions = figures.Options{Workers: runtime.NumCPU()}
+
 // BenchmarkFig02 regenerates the Fig. 2 utilization oscillation trace.
 func BenchmarkFig02(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig02()
+		r, err := figures.Fig02(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +38,7 @@ func BenchmarkFig02(b *testing.B) {
 func BenchmarkSort600GB(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Sort600GB()
+		r, err := figures.Sort600GB(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +55,7 @@ func BenchmarkSort600GB(b *testing.B) {
 func BenchmarkFig05(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig05()
+		r, err := figures.Fig05(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +73,7 @@ func BenchmarkFig05(b *testing.B) {
 // Fig. 5, different view).
 func BenchmarkFig06(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig05()
+		r, err := figures.Fig05(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +88,7 @@ func BenchmarkFig06(b *testing.B) {
 func BenchmarkFig07(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig07()
+		r, err := figures.Fig07(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +102,7 @@ func BenchmarkFig07(b *testing.B) {
 func BenchmarkFig08(b *testing.B) {
 	var oneWave, manyWaves float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig08()
+		r, err := figures.Fig08(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +119,7 @@ func BenchmarkFig08(b *testing.B) {
 func BenchmarkFig09(b *testing.B) {
 	var mono, spark float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig09()
+		r, err := figures.Fig09(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +133,7 @@ func BenchmarkFig09(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig11()
+		r, err := figures.Fig11(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +147,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +167,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkSec63(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Sec63()
+		r, err := figures.Sec63(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +181,7 @@ func BenchmarkSec63(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	var worst, change float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig13()
+		r, err := figures.Fig13(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +197,7 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkFig14(b *testing.B) {
 	var cpuBound float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig14()
+		r, err := figures.Fig14(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +219,7 @@ func BenchmarkFig14(b *testing.B) {
 func BenchmarkFig15(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +239,7 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	var sparkMed, monoMed float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig16()
+		r, err := figures.Fig16(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +258,7 @@ func BenchmarkFig16(b *testing.B) {
 func BenchmarkFig17(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +278,7 @@ func BenchmarkFig17(b *testing.B) {
 func BenchmarkFig18(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig18()
+		r, err := figures.Fig18(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +310,7 @@ func pctAbs(predicted, actual float64) float64 {
 // round robin on mixed drives (§3.3, §3.4, §8).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rr, err := figures.AblationPhaseRR()
+		rr, err := figures.AblationPhaseRR(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,28 +318,28 @@ func BenchmarkAblations(b *testing.B) {
 			b.Fatalf("FIFO (%v) did not starve reads vs round robin (%v)",
 				rr.Rows[1].Seconds, rr.Rows[0].Seconds)
 		}
-		ssd, err := figures.AblationSSDConcurrency()
+		ssd, err := figures.AblationSSDConcurrency(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !(ssd.Rows[0].Seconds > ssd.Rows[1].Seconds && ssd.Rows[1].Seconds > ssd.Rows[2].Seconds) {
 			b.Fatal("SSD throughput did not rise toward the concurrency knee")
 		}
-		law, err := figures.AblationLoadAwareWrites()
+		law, err := figures.AblationLoadAwareWrites(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if law.Rows[1].Seconds >= law.Rows[0].Seconds {
 			b.Fatal("shortest-queue writes did not beat round robin on mixed drives")
 		}
-		net, err := figures.AblationNetLimit()
+		net, err := figures.AblationNetLimit(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if net.Rows[4].Seconds <= net.Rows[2].Seconds {
 			b.Fatal("over-admitting multitasks should hurt (§3.3 trade-off)")
 		}
-		if _, err := figures.AblationSpareMultitask(); err != nil {
+		if _, err := figures.AblationSpareMultitask(benchOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,7 +351,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkFailure(b *testing.B) {
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Failure()
+		r, err := figures.Failure(benchOptions)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/figures"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -33,28 +32,34 @@ type printer interface{ Fprint(io.Writer) }
 
 // experiments maps names to runners. Each runner executes the experiment
 // and returns one or more printable sections.
-var experiments = map[string]func() ([]printer, error){
-	"fig2":      wrap1(figFig2),
-	"sort":      wrap1(figSort),
-	"fig5":      figFig5,
+var experiments = map[string]func(figures.Options) ([]printer, error){
+	"fig2":      wrap1(figures.Fig02),
+	"sort":      wrap1(figures.Sort600GB),
+	"fig5":      wrap1(figures.Fig05),
 	"fig6":      figFig6,
-	"fig7":      wrap1(figFig7),
-	"fig8":      wrap1(figFig8),
-	"fig9":      wrap1(figFig9),
-	"fig11":     wrap1(figFig11),
-	"fig12":     figFig12,
-	"sec63":     wrap1(figSec63),
-	"fig13":     wrap1(figFig13),
-	"fig14":     wrap1(figFig14),
+	"fig7":      wrap1(figures.Fig07),
+	"fig8":      wrap1(figures.Fig08),
+	"fig9":      wrap1(figures.Fig09),
+	"fig11":     wrap1(figures.Fig11),
+	"fig12":     wrap1(figures.Fig12),
+	"sec63":     wrap1(figures.Sec63),
+	"fig13":     wrap1(figures.Fig13),
+	"fig14":     wrap1(figures.Fig14),
 	"fig15":     figFig15,
-	"fig16":     wrap1(figFig16),
+	"fig16":     wrap1(figures.Fig16),
 	"fig17":     figFig17,
-	"fig18":     wrap1(figFig18),
+	"fig18":     wrap1(figures.Fig18),
 	"ablations": figAblations,
-	"failure":   figFailure,
-	"chaos":     figChaos,
-	"multijob":  wrap1(figMultijob),
-	"memory":    wrap1(figMemory),
+	"failure":   wrap1(figures.Failure),
+	"chaos": wrap1(func(o figures.Options) (*figures.ChaosResult, error) {
+		return figures.Chaos(o, 24)
+	}),
+	"multijob": wrap1(func(o figures.Options) (*figures.MultijobResult, error) {
+		return figures.Multijob(o, *smoke)
+	}),
+	"memory": wrap1(func(o figures.Options) (*figures.MemoryResult, error) {
+		return figures.Memory(o, *smoke)
+	}),
 }
 
 // order lists experiments in paper order for `monobench all`.
@@ -197,7 +202,6 @@ func main() {
 		kept = append(kept, a)
 	}
 	args = kept
-	sweep.SetParallelism(*parallel)
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
@@ -208,10 +212,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	o := figures.Options{Workers: *parallel}
 	var tc *telemetryCollector
 	if *telemetryOut != "" {
 		tc = &telemetryCollector{}
-		figures.SetTelemetry(&telemetry.Config{}, tc.collect)
+		o.Telemetry, o.OnTelemetry = &telemetry.Config{}, tc.collect
 	}
 	names := args
 	if len(args) == 1 && args[0] == "all" {
@@ -227,9 +232,9 @@ func main() {
 		}
 		start := time.Now()
 		if *timeout > 0 {
-			sweep.SetDeadline(start.Add(*timeout))
+			o.Deadline = start.Add(*timeout)
 		}
-		sections, err := runner()
+		sections, err := runner(o)
 		if err != nil {
 			// A failed experiment (timed-out or crashed cells) is reported
 			// and the remaining experiments still run; the exit code at the
@@ -251,7 +256,6 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	sweep.SetDeadline(time.Time{})
 	if tc != nil {
 		if err := tc.write(*telemetryOut); err != nil {
 			fmt.Fprintf(os.Stderr, "monobench: telemetry: %v\n", err)
@@ -317,9 +321,9 @@ func setParallelArg(v string) {
 }
 
 // wrap1 lifts a single-result runner into the []printer shape.
-func wrap1[T printer](f func() (T, error)) func() ([]printer, error) {
-	return func() ([]printer, error) {
-		r, err := f()
+func wrap1[T printer](f func(figures.Options) (T, error)) func(figures.Options) ([]printer, error) {
+	return func(o figures.Options) ([]printer, error) {
+		r, err := f(o)
 		if err != nil {
 			return nil, err
 		}

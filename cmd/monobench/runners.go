@@ -9,52 +9,24 @@ import (
 // The figure-5 run also carries the figure-6 utilization data, and the
 // figure-12 run carries figures 15 and 17; these adapters select the view.
 
-func figFig2() (*figures.Fig02Result, error)    { return figures.Fig02() }
-func figSort() (*figures.SortResult, error)     { return figures.Sort600GB() }
-func figFig7() (*figures.Fig07Result, error)    { return figures.Fig07() }
-func figFig8() (*figures.Fig08Result, error)    { return figures.Fig08() }
-func figFig9() (*figures.Fig09Result, error)    { return figures.Fig09() }
-func figFig11() (*figures.PredictResult, error) { return figures.Fig11() }
-func figSec63() (*figures.PredictResult, error) { return figures.Sec63() }
-func figFig13() (*figures.PredictResult, error) { return figures.Fig13() }
-func figFig14() (*figures.Fig14Result, error)   { return figures.Fig14() }
-func figFig16() (*figures.Fig16Result, error)   { return figures.Fig16() }
-func figFig18() (*figures.Fig18Result, error)   { return figures.Fig18() }
-
-func figFig5() ([]printer, error) {
-	r, err := figures.Fig05()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figFig6() ([]printer, error) {
-	r, err := figures.Fig05()
+func figFig6(o figures.Options) ([]printer, error) {
+	r, err := figures.Fig05(o)
 	if err != nil {
 		return nil, err
 	}
 	return []printer{printFunc(r.FprintFig6)}, nil
 }
 
-func figFig12() ([]printer, error) {
-	r, err := figures.Fig12()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figFig15() ([]printer, error) {
-	r, err := figures.Fig12()
+func figFig15(o figures.Options) ([]printer, error) {
+	r, err := figures.Fig12(o)
 	if err != nil {
 		return nil, err
 	}
 	return []printer{printFunc(r.FprintFig15)}, nil
 }
 
-func figFig17() ([]printer, error) {
-	r, err := figures.Fig12()
+func figFig17(o figures.Options) ([]printer, error) {
+	r, err := figures.Fig12(o)
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +38,9 @@ type printFunc func(io.Writer)
 
 func (f printFunc) Fprint(w io.Writer) { f(w) }
 
-func figAblations() ([]printer, error) {
+func figAblations(o figures.Options) ([]printer, error) {
 	var out []printer
-	for _, f := range []func() (*figures.AblationResult, error){
+	for _, f := range []func(figures.Options) (*figures.AblationResult, error){
 		figures.AblationPhaseRR,
 		figures.AblationSpareMultitask,
 		figures.AblationNetLimit,
@@ -76,7 +48,7 @@ func figAblations() ([]printer, error) {
 		figures.AblationLoadAwareWrites,
 		figures.AblationNetworkPolicy,
 	} {
-		r, err := f()
+		r, err := f(o)
 		if err != nil {
 			return nil, err
 		}
@@ -84,23 +56,3 @@ func figAblations() ([]printer, error) {
 	}
 	return out, nil
 }
-
-func figFailure() ([]printer, error) {
-	r, err := figures.Failure()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figChaos() ([]printer, error) {
-	r, err := figures.Chaos(24)
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figMultijob() (*figures.MultijobResult, error) { return figures.Multijob(*smoke) }
-
-func figMemory() (*figures.MemoryResult, error) { return figures.Memory(*smoke) }

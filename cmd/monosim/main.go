@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -126,14 +127,17 @@ func runSim(cfg config) error {
 	opts.TasksPerMachine = cfg.slots
 
 	execs := run.Executors(c, opts)
-	d, err := run.DriverWith(c, env.FS, execs)
+	r, err := run.NewWith(c, env.FS, execs, opts)
 	if err != nil {
 		return err
 	}
-	if _, err := d.Submit(job); err != nil {
+	if _, err := r.Driver().Submit(job); err != nil {
 		return err
 	}
-	ms := d.Run()
+	ms, err := r.Wait(context.Background())
+	if err != nil {
+		return err
+	}
 	jm := ms[0]
 	fmt.Printf("workload %s on %d × (%d cores, %d disks, %.1f Gb/s), mode %s\n",
 		job.Name, cfg.machines, cfg.cores, len(spec.Disks), cfg.netGbps, cfg.mode)

@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -9,8 +11,8 @@ import (
 	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/monospark"
 )
 
@@ -92,9 +94,11 @@ func chaosPlanConfig() faults.PlanConfig {
 	}
 }
 
-// chaosRun executes the chaos workload once under the given seed and mode.
-func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
-	ctx, err := monospark.New(monospark.Config{
+// chaosRun executes the chaos workload once under the given seed and mode and
+// the harness settings o. A chaos-induced abort is an outcome; a harness
+// deadline abort is an error.
+func chaosRun(o Options, seed int64, mode monospark.Mode) (chaosOutcome, error) {
+	sc, err := monospark.New(monospark.Config{
 		Machines: 4,
 		Mode:     mode,
 		// Stretch per-record compute so the job spans tens of virtual
@@ -106,25 +110,35 @@ func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
 			Random:            chaosPlanConfig(),
 			FetchRetryTimeout: 60,
 		},
-		Telemetry: telemetryCfg,
+		Telemetry: o.Telemetry,
 	})
 	if err != nil {
 		return chaosOutcome{}, err
 	}
-	if ctx.Telemetry() != nil && telemetrySink != nil {
+	if s := sc.Telemetry(); s != nil && o.OnTelemetry != nil {
 		defer func() {
-			ctx.Telemetry().Stop()
-			telemetrySink(ctx.Telemetry())
+			s.Stop()
+			o.OnTelemetry(s)
 		}()
 	}
-	ds, err := ctx.Parallelize(chaosInput(), 32)
+	ctx := context.Background()
+	if !o.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, o.Deadline)
+		defer cancel()
+	}
+	ds, err := sc.Parallelize(chaosInput(), 32)
 	if err != nil {
 		return chaosOutcome{}, err
 	}
-	recs, jr, err := ds.SortByKey().Collect()
-	out := chaosOutcome{faults: len(ctx.FaultEvents())}
+	recs, jr, err := ds.SortByKey().CollectContext(ctx)
+	var aerr *run.AbortError
+	if errors.As(err, &aerr) {
+		return chaosOutcome{}, err
+	}
+	out := chaosOutcome{faults: len(sc.FaultEvents())}
 	h := fnv.New64a()
-	for _, f := range ctx.FaultEvents() {
+	for _, f := range sc.FaultEvents() {
 		fmt.Fprintf(h, "%v|", f)
 	}
 	if err != nil {
@@ -188,9 +202,9 @@ func chaosCorrect(recs []any) bool {
 // run — including the replay of a seed — is an independent simulation, so
 // all 2×seeds cells go through the sweep pool; the determinism comparison
 // happens on the collected outcomes.
-func Chaos(seeds int) (*ChaosResult, error) {
-	outcomes, err := sweep.Run(seeds*2, func(i int) (chaosOutcome, error) {
-		return chaosRun(int64(i/2)+1, monospark.Monotasks)
+func Chaos(o Options, seeds int) (*ChaosResult, error) {
+	outcomes, err := runCells(o, seeds*2, func(i int) (chaosOutcome, error) {
+		return chaosRun(o, int64(i/2)+1, monospark.Monotasks)
 	})
 	if err != nil {
 		return nil, err

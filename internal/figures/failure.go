@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/jobsched"
 	"repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
@@ -60,9 +60,9 @@ func failureWorkload(replication int) workloads.Sort {
 
 // failureRun executes one cell: the sort under mode with the given input
 // replication and speculation setting, failing machine failureMachineID at
-// failAt (no failure when failAt <= 0). It returns the job duration and the
-// outcome string.
-func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Time) (sim.Duration, string, error) {
+// failAt (no failure when failAt <= 0), under the harness settings o. It
+// returns the job duration and the outcome string.
+func failureRun(o Options, mode run.Mode, replication int, speculation bool, failAt sim.Time) (sim.Duration, string, error) {
 	c, err := cluster.New(failureMachines, cluster.M2_4XLarge())
 	if err != nil {
 		return 0, "", err
@@ -75,23 +75,23 @@ func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Tim
 	if err != nil {
 		return 0, "", err
 	}
-	d, err := run.Driver(c, env.FS, run.Options{Mode: mode, Sched: jobsched.Config{Speculation: speculation}})
+	r, err := run.New(c, env.FS, o.run(run.Options{Mode: mode, Sched: jobsched.Config{Speculation: speculation}}))
 	if err != nil {
 		return 0, "", err
 	}
-	h, err := d.Submit(job)
+	h, err := r.Driver().Submit(job)
 	if err != nil {
 		return 0, "", err
 	}
+	var failErr error
 	if failAt > 0 {
-		var failErr error
-		c.Engine.At(failAt, func() { failErr = d.FailMachine(failureMachineID) })
-		d.Run()
-		if failErr != nil {
-			return 0, "", failErr
-		}
-	} else {
-		d.Run()
+		c.Engine.At(failAt, func() { failErr = r.Driver().FailMachine(failureMachineID) })
+	}
+	if _, err := r.Wait(context.Background()); err != nil {
+		return 0, "", err
+	}
+	if failErr != nil {
+		return 0, "", failErr
 	}
 	outcome := "completed"
 	if err := h.Err(); err != nil {
@@ -105,7 +105,7 @@ func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Tim
 // baseline. Two sweep phases: all clean baselines first (the failure
 // injection times are fractions of the clean runtimes), then all 16 failure
 // runs.
-func Failure() (*FailureResult, error) {
+func Failure(o Options) (*FailureResult, error) {
 	type cfg struct {
 		mode        run.Mode
 		replication int
@@ -119,9 +119,9 @@ func Failure() (*FailureResult, error) {
 			}
 		}
 	}
-	cleans, err := sweep.Run(len(cfgs), func(i int) (sim.Duration, error) {
+	cleans, err := runCells(o, len(cfgs), func(i int) (sim.Duration, error) {
 		c := cfgs[i]
-		clean, outcome, err := failureRun(c.mode, c.replication, c.speculation, 0)
+		clean, outcome, err := failureRun(o, c.mode, c.replication, c.speculation, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -137,10 +137,10 @@ func Failure() (*FailureResult, error) {
 		name string
 		frac float64
 	}{{"map", mapFailFrac}, {"reduce", reduceFailFrac}}
-	rows, err := sweep.Run(len(cfgs)*len(phases), func(i int) (FailureRow, error) {
+	rows, err := runCells(o, len(cfgs)*len(phases), func(i int) (FailureRow, error) {
 		c, phase := cfgs[i/len(phases)], phases[i%len(phases)]
 		clean := cleans[i/len(phases)]
-		dur, outcome, err := failureRun(c.mode, c.replication, c.speculation,
+		dur, outcome, err := failureRun(o, c.mode, c.replication, c.speculation,
 			sim.Time(float64(clean)*phase.frac))
 		if err != nil {
 			return FailureRow{}, err

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
@@ -24,8 +23,8 @@ type Fig02Result struct {
 
 // Fig02 runs the 600 GB sort under the pipelined executor and samples
 // machine 0 during the map stage.
-func Fig02() (*Fig02Result, error) {
-	res, err := execute(20, cluster.M2_4XLarge(), run.Options{Mode: run.Spark},
+func Fig02(o Options) (*Fig02Result, error) {
+	res, err := execute(o, 20, cluster.M2_4XLarge(), run.Options{Mode: run.Spark},
 		workloads.Sort{TotalBytes: 600 * units.GB, ValuesPerKey: 10}.Build)
 	if err != nil {
 		return nil, err
@@ -126,18 +125,18 @@ type SortRow struct {
 
 // Sort600GB runs the 600 GB sort on 20 two-HDD workers under both systems
 // (§5.2: Spark 88 min = 36 map + 52 reduce; MonoSpark 57 min = 22 + 35).
-func Sort600GB() (*SortResult, error) {
-	return SortSized(600*units.GB, 20)
+func Sort600GB(o Options) (*SortResult, error) {
+	return SortSized(o, 600*units.GB, 20)
 }
 
 // SortSized runs the §5.2 sort at an arbitrary scale under both systems —
 // the 600 GB figure uses it directly, and the golden-output determinism test
 // runs a small instance of the same code path.
-func SortSized(totalBytes int64, machines int) (*SortResult, error) {
+func SortSized(o Options, totalBytes int64, machines int) (*SortResult, error) {
 	out := &SortResult{TotalBytes: totalBytes, Machines: machines}
 	modes := []run.Mode{run.Spark, run.Monotasks}
-	rows, err := sweep.Run(len(modes), func(i int) (SortRow, error) {
-		res, err := execute(machines, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
+	rows, err := runCells(o, len(modes), func(i int) (SortRow, error) {
+		res, err := execute(o, machines, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
 			workloads.Sort{TotalBytes: totalBytes, ValuesPerKey: 10}.Build)
 		if err != nil {
 			return SortRow{}, err

@@ -9,6 +9,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/run"
@@ -18,23 +19,40 @@ import (
 	"repro/internal/workloads"
 )
 
-// Telemetry hook: when set, every executed figure run (and every chaos cell)
-// attaches a live sampler and hands the finished sampler to sink. Sweep cells
-// run on parallel workers, so sink must be safe for concurrent calls; the
-// config is shared read-only across runs (leave Config.OnSnapshot nil and
-// read each sampler's ring from the sink instead). Collectors that need a
-// byte-stable file across --parallel worker counts should serialize each
-// sampler to its own chunk and order chunks canonically (see monobench).
-var (
-	telemetryCfg  *telemetry.Config
-	telemetrySink func(*telemetry.Sampler)
-)
+// Options are the harness settings every experiment takes as a parameter.
+// They shape how an experiment runs, never what it computes: output is
+// byte-identical at any Workers count and with or without telemetry.
+type Options struct {
+	// Workers is how many grid cells run concurrently (monobench
+	// --parallel). Below 1, cells run serially on the calling goroutine.
+	Workers int
+	// Deadline, when nonzero, bounds the experiment in wall-clock time
+	// (monobench --timeout): cells not yet started fail with a deadline
+	// error, and every run already simulating aborts cleanly between event
+	// batches with a *run.AbortError.
+	Deadline time.Time
+	// Telemetry, when set, attaches a live sampler to every executed run
+	// (chaos cells included). The config is shared read-only across runs, so
+	// leave Config.OnSnapshot nil and read each sampler from OnTelemetry.
+	Telemetry *telemetry.Config
+	// OnTelemetry receives each run's finished sampler. Cells run on
+	// parallel workers, so it must be safe for concurrent calls. Collectors
+	// that need a byte-stable file across Workers counts should serialize
+	// each sampler to its own chunk and order chunks canonically (see
+	// monobench).
+	OnTelemetry func(*telemetry.Sampler)
+}
 
-// SetTelemetry installs (or, with a nil cfg, clears) the telemetry hook. Not
-// safe to call while experiments run.
-func SetTelemetry(cfg *telemetry.Config, sink func(*telemetry.Sampler)) {
-	telemetryCfg = cfg
-	telemetrySink = sink
+// run applies the harness settings to one run's options.
+func (o Options) run(ro run.Options) run.Options {
+	ro.Telemetry, ro.OnTelemetry, ro.WallDeadline = o.Telemetry, o.OnTelemetry, o.Deadline
+	return ro
+}
+
+// runCells runs an experiment's n independent cells through the sweep pool
+// under o's worker count and deadline.
+func runCells[T any](o Options, n int, fn func(cell int) (T, error)) ([]T, error) {
+	return sweep.Run(o.Workers, o.Deadline, n, fn)
 }
 
 // Builder produces a job for an environment (matches the workloads types).
@@ -49,17 +67,18 @@ type RunResult struct {
 }
 
 // execute builds a fresh cluster, materializes each builder's job, submits
-// them together (concurrent jobs), and drains the simulation.
-func execute(machines int, spec cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
+// them together (concurrent jobs), and drains the simulation under the
+// harness settings o.
+func execute(o Options, machines int, spec cluster.MachineSpec, ro run.Options, builders ...Builder) (*RunResult, error) {
 	specs := make([]cluster.MachineSpec, machines)
 	for i := range specs {
 		specs[i] = spec
 	}
-	return executeHetero(specs, o, builders...)
+	return executeHetero(o, specs, ro, builders...)
 }
 
 // executeHetero is execute with per-machine specs (straggler experiments).
-func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
+func executeHetero(o Options, specs []cluster.MachineSpec, ro run.Options, builders ...Builder) (*RunResult, error) {
 	c, err := cluster.NewHetero(specs)
 	if err != nil {
 		return nil, err
@@ -76,17 +95,7 @@ func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Build
 		}
 		jobSpecs = append(jobSpecs, js)
 	}
-	if cfg := telemetryCfg; cfg != nil {
-		o.Telemetry = cfg
-		o.OnTelemetry = telemetrySink
-	}
-	// A sweep deadline (monobench --timeout) bounds in-flight cells too: the
-	// run layer polls it between event batches and aborts cleanly, so a
-	// stuck cell fails with a deadline error instead of hanging the sweep.
-	if t := sweep.Deadline(); !t.IsZero() && o.WallDeadline.IsZero() {
-		o.WallDeadline = t
-	}
-	jobs, err := run.Jobs(c, env.FS, o, jobSpecs...)
+	jobs, err := run.Jobs(c, env.FS, o.run(ro), jobSpecs...)
 	if err != nil {
 		return nil, err
 	}

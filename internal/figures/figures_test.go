@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +13,11 @@ import (
 // repository root; these tests cover the cheaper ones plus the printers,
 // asserting the paper's qualitative claims.
 
+// testOptions runs the experiments' grids with one worker per CPU.
+var testOptions = Options{Workers: runtime.NumCPU()}
+
 func TestFig05AndFig06(t *testing.T) {
-	r, err := Fig05()
+	r, err := Fig05(testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestFig05AndFig06(t *testing.T) {
 }
 
 func TestFig09MonoKeepsBottleneckBusier(t *testing.T) {
-	r, err := Fig09()
+	r, err := Fig09(testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestFig09MonoKeepsBottleneckBusier(t *testing.T) {
 }
 
 func TestFig14NetworkIrrelevant(t *testing.T) {
-	r, err := Fig14()
+	r, err := Fig14(testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestFig14NetworkIrrelevant(t *testing.T) {
 }
 
 func TestSec63Prediction(t *testing.T) {
-	r, err := Sec63()
+	r, err := Sec63(testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestSec63Prediction(t *testing.T) {
 }
 
 func TestFig16AttributionAsymmetry(t *testing.T) {
-	r, err := Fig16()
+	r, err := Fig16(testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

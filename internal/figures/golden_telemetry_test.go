@@ -6,22 +6,21 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
-// telemetryStream runs the golden corpus (SortSized, both systems) plus a
-// two-seed chaos matrix with the telemetry hook installed, and returns every
-// run's snapshot stream as one byte string. Sweep cells finish in arbitrary
+// collectTelemetry returns harness options that run grids on `workers`
+// workers with telemetry on, and a function returning every run's snapshot
+// stream collected so far as one byte string. Sweep cells finish in arbitrary
 // wall-clock order, so each run's ring is serialized into its own JSONL chunk
 // and chunks are sorted canonically — the same scheme monobench --telemetry
 // uses — making the result a pure function of the experiment set.
-func telemetryStream(t *testing.T) []byte {
+func collectTelemetry(t *testing.T, workers int) (Options, func() []byte) {
 	t.Helper()
 	var mu sync.Mutex
 	var chunks [][]byte
-	SetTelemetry(&telemetry.Config{}, func(s *telemetry.Sampler) {
+	o := Options{Workers: workers, Telemetry: &telemetry.Config{}, OnTelemetry: func(s *telemetry.Sampler) {
 		var buf bytes.Buffer
 		err := telemetry.WriteJSONL(&buf, s.Snapshots())
 		mu.Lock()
@@ -31,20 +30,28 @@ func telemetryStream(t *testing.T) []byte {
 			return
 		}
 		chunks = append(chunks, buf.Bytes())
-	})
-	defer SetTelemetry(nil, nil)
+	}}
+	return o, func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		sort.Slice(chunks, func(i, j int) bool { return bytes.Compare(chunks[i], chunks[j]) < 0 })
+		return bytes.Join(chunks, nil)
+	}
+}
 
-	if _, err := SortSized(16*units.GB, 4); err != nil {
+// telemetryStream runs the golden corpus (SortSized, both systems) plus a
+// two-seed chaos matrix with telemetry on, on `workers` workers, and returns
+// the canonical stream.
+func telemetryStream(t *testing.T, workers int) []byte {
+	t.Helper()
+	o, stream := collectTelemetry(t, workers)
+	if _, err := SortSized(o, 16*units.GB, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Chaos(2); err != nil {
+	if _, err := Chaos(o, 2); err != nil {
 		t.Fatal(err)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(chunks, func(i, j int) bool { return bytes.Compare(chunks[i], chunks[j]) < 0 })
-	return bytes.Join(chunks, nil)
+	return stream()
 }
 
 // TestGoldenTelemetryDeterminism extends the determinism gate to the live
@@ -54,28 +61,18 @@ func telemetryStream(t *testing.T) []byte {
 // divergence would mean either the sampler perturbed the simulation or the
 // stream depends on scheduling outside virtual time.
 func TestGoldenTelemetryDeterminism(t *testing.T) {
-	a := telemetryStream(t)
+	a := telemetryStream(t, 1)
 	if len(a) == 0 {
 		t.Fatal("empty telemetry stream")
 	}
-	b := telemetryStream(t)
+	b := telemetryStream(t, 1)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-process telemetry replay differs at:\n%s", firstDiffLine(b, a))
 	}
-
-	old := sweep.Parallelism()
-	defer sweep.SetParallelism(old)
-	sweep.SetParallelism(1)
-	serial := telemetryStream(t)
-	sweep.SetParallelism(8)
-	parallel := telemetryStream(t)
-	if !bytes.Equal(serial, parallel) {
+	parallel := telemetryStream(t, 8)
+	if !bytes.Equal(a, parallel) {
 		t.Fatalf("telemetry stream diverged between --parallel 1 and 8 at:\n%s",
-			firstDiffLine(parallel, serial))
-	}
-	if !bytes.Equal(a, serial) {
-		t.Fatalf("telemetry stream depends on ambient parallelism at:\n%s",
-			firstDiffLine(serial, a))
+			firstDiffLine(parallel, a))
 	}
 
 	// Every run's stream ends with a Final snapshot carrying the cumulative

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/run"
-	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/units"
 	"repro/internal/workloads"
@@ -45,11 +44,11 @@ type MemoryRow struct {
 
 // MemoryResult is the experiment's full output.
 type MemoryResult struct {
-	Cores       int
-	MemBWGBps   float64
-	CapacityGB  float64
-	Rows        []MemoryRow
-	MigratedAt  float64 // first swept volume whose bottleneck is memory (0 if none)
+	Cores      int
+	MemBWGBps  float64
+	CapacityGB float64
+	Rows       []MemoryRow
+	MigratedAt float64 // first swept volume whose bottleneck is memory (0 if none)
 }
 
 // MemoryVolumes returns the swept working-set sizes in bytes. Smoke keeps
@@ -63,11 +62,11 @@ func MemoryVolumes(smoke bool) []int64 {
 
 // Memory runs the data-volume sweep. Every cell is an independent simulation
 // and goes through the sweep pool.
-func Memory(smoke bool) (*MemoryResult, error) {
+func Memory(o Options, smoke bool) (*MemoryResult, error) {
 	spec := cluster.FatNode()
 	volumes := MemoryVolumes(smoke)
-	rows, err := sweep.Run(len(volumes), func(i int) (MemoryRow, error) {
-		return memoryCell(spec, volumes[i])
+	rows, err := runCells(o, len(volumes), func(i int) (MemoryRow, error) {
+		return memoryCell(o, spec, volumes[i])
 	})
 	if err != nil {
 		return nil, err
@@ -88,8 +87,8 @@ func Memory(smoke bool) (*MemoryResult, error) {
 }
 
 // memoryCell runs one working-set size on a fresh fat machine.
-func memoryCell(spec cluster.MachineSpec, volume int64) (MemoryRow, error) {
-	res, err := execute(1, spec, run.Options{Mode: run.Monotasks},
+func memoryCell(o Options, spec cluster.MachineSpec, volume int64) (MemoryRow, error) {
+	res, err := execute(o, 1, spec, run.Options{Mode: run.Monotasks},
 		func(env *workloads.Env) (*task.JobSpec, error) {
 			return workloads.ScaleUp{TotalBytes: volume}.Build(env)
 		})

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/run"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/units"
 	"repro/internal/workloads"
@@ -97,11 +97,12 @@ func (r *multijobRun) jobMetrics() []*task.JobMetrics {
 }
 
 // runMultijob materializes the stream on a fresh cluster and executes its
-// arrival schedule. A non-nil sample callback fires every half virtual
+// arrival schedule under ro and the harness settings o. A non-nil sample
+// callback fires every half virtual
 // second while any job is unfinished, with the live driver and the current
 // virtual time — the hook the pool-share measurement watches the scheduler
 // through.
-func runMultijob(o run.Options, m workloads.MultiJob, sample func(*jobsched.Driver, sim.Time)) (*multijobRun, error) {
+func runMultijob(o Options, ro run.Options, m workloads.MultiJob, sample func(*jobsched.Driver, sim.Time)) (*multijobRun, error) {
 	c, err := cluster.New(multijobMachines, cluster.M2_4XLarge())
 	if err != nil {
 		return nil, err
@@ -118,26 +119,18 @@ func runMultijob(o run.Options, m workloads.MultiJob, sample func(*jobsched.Driv
 	for i, a := range arrivals {
 		subs[i] = run.Submission{Spec: a.Spec, At: a.At, Opts: jobsched.SubmitOptions{Pool: a.Pool}}
 	}
-	d, err := run.Driver(c, env.FS, o)
+	r, err := run.New(c, env.FS, o.run(ro))
 	if err != nil {
 		return nil, err
 	}
-	handles := make([]*jobsched.JobHandle, len(subs))
-	var submitErr error
-	for i, s := range subs {
-		i, s := i, s
-		c.Engine.At(s.At, func() {
-			h, err := d.SubmitWith(s.Spec, s.Opts)
-			if err != nil && submitErr == nil {
-				submitErr = err
-			}
-			handles[i] = h
-		})
+	handles, err := r.SubmitAt(subs)
+	if err != nil {
+		return nil, err
 	}
 	if sample != nil {
 		var tick func()
 		tick = func() {
-			sample(d, c.Engine.Now())
+			sample(r.Driver(), c.Engine.Now())
 			for _, h := range handles {
 				if h == nil || !(h.Done() || h.Failed()) {
 					c.Engine.After(0.5, tick)
@@ -147,16 +140,15 @@ func runMultijob(o run.Options, m workloads.MultiJob, sample func(*jobsched.Driv
 		}
 		c.Engine.After(0.5, tick)
 	}
-	d.Run()
-	if submitErr != nil {
-		return nil, submitErr
+	if _, err := r.Wait(context.Background()); err != nil {
+		return nil, err
 	}
 	return &multijobRun{Cluster: c, Handles: handles, Arrivals: arrivals}, nil
 }
 
 // Multijob runs the experiment. Smoke mode shrinks job sizes, counts, and
 // the load sweep so CI can run it on every push.
-func Multijob(smoke bool) (*MultijobResult, error) {
+func Multijob(o Options, smoke bool) (*MultijobResult, error) {
 	jobBytes := int64(6 * units.GB)
 	loads := []float64{0.4, 0.8}
 	jobsPerLoad := 12
@@ -176,7 +168,7 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 
 	// Calibrate: one job alone, mono mode. Offered load ρ means the stream
 	// delivers ρ solo-job-times of work per solo-job-time.
-	solo, err := runMultijob(run.Options{Mode: run.Monotasks}, stream("solo", 1, 0, nil), nil)
+	solo, err := runMultijob(o, run.Options{Mode: run.Monotasks}, stream("solo", 1, 0, nil), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +178,10 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 	// Every (load, mode) cell is an independent simulation.
 	type latCell struct{ p50, p95, p99 sim.Duration }
 	latModes := []run.Mode{run.Monotasks, run.Spark}
-	latCells, err := sweep.Run(len(loads)*len(latModes), func(i int) (latCell, error) {
+	latCells, err := runCells(o, len(loads)*len(latModes), func(i int) (latCell, error) {
 		load, mode := loads[i/len(latModes)], latModes[i%len(latModes)]
 		m := stream(fmt.Sprintf("load%02.0f", load*100), jobsPerLoad, float64(out.SoloSeconds)/load, nil)
-		r, err := runMultijob(run.Options{Mode: mode}, m, nil)
+		r, err := runMultijob(o, run.Options{Mode: mode}, m, nil)
 		if err != nil {
 			return latCell{}, err
 		}
@@ -244,7 +236,7 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 		samples []poolSample
 	}
 	truthVPK := []int{10, 50}
-	batchCells, err := sweep.Run(4, func(i int) (batchCell, error) {
+	batchCells, err := runCells(o, 4, func(i int) (batchCell, error) {
 		switch i {
 		case 0:
 			var samples []poolSample
@@ -256,16 +248,16 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 				}
 				samples = append(samples, s)
 			}
-			r, err := runMultijob(run.Options{Mode: run.Monotasks, Sched: poolCfg}, batch, sampler)
+			r, err := runMultijob(o, run.Options{Mode: run.Monotasks, Sched: poolCfg}, batch, sampler)
 			return batchCell{r: r, samples: samples}, err
 		case 1:
-			r, err := runMultijob(run.Options{Mode: run.Spark, Sched: poolCfg}, batch, nil)
+			r, err := runMultijob(o, run.Options{Mode: run.Spark, Sched: poolCfg}, batch, nil)
 			return batchCell{r: r}, err
 		default:
 			vpk := truthVPK[i-2]
 			m := stream(fmt.Sprintf("truth-%dv", vpk), 1, 0, nil)
 			m.ValuesPerKey = []int{vpk}
-			r, err := runMultijob(run.Options{Mode: run.Monotasks}, m, nil)
+			r, err := runMultijob(o, run.Options{Mode: run.Monotasks}, m, nil)
 			return batchCell{r: r}, err
 		}
 	})

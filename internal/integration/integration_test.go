@@ -4,6 +4,7 @@
 package integration
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -215,10 +216,11 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := run.Driver(c, env.FS, run.Options{Mode: mode})
+		r, err := run.New(c, env.FS, run.Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := r.Driver()
 		h, err := d.Submit(job)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +230,10 @@ func TestFailureRecoveryEndToEnd(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		ms := d.Run()
+		ms, err := r.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !h.Done() {
 			t.Fatalf("%v: job incomplete after failure", mode)
 		}
@@ -249,10 +254,11 @@ func TestConcurrentJobsWithFailure(t *testing.T) {
 	env := workloads.MustEnv(c)
 	jobA, _ := workloads.Sort{Name: "a", TotalBytes: 20 * units.GB, ValuesPerKey: 10, InputReplication: 2}.Build(env)
 	jobB, _ := workloads.Sort{Name: "b", TotalBytes: 20 * units.GB, ValuesPerKey: 50, InputReplication: 2}.Build(env)
-	d, err := run.Driver(c, env.FS, run.Options{Mode: run.Monotasks})
+	r, err := run.New(c, env.FS, run.Options{Mode: run.Monotasks})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := r.Driver()
 	ha, _ := d.Submit(jobA)
 	hb, _ := d.Submit(jobB)
 	c.Engine.At(15, func() {
@@ -260,7 +266,9 @@ func TestConcurrentJobsWithFailure(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	d.Run()
+	if _, err := r.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if !ha.Done() || !hb.Done() {
 		t.Fatal("a concurrent job did not recover from the shared failure")
 	}

@@ -160,25 +160,25 @@ type Driver struct {
 
 	// Execution-template cache and the hot-path slabs/pools/scratch it feeds
 	// (see template.go). All single-threaded, like the engine they serve.
-	templates      map[string]*jobTemplate
-	fpScratch      []byte
-	attemptSlab    []attempt
-	taskSlab       []task.Task
-	completionPool []*completionOp
-	timeoutPool    []*timeoutOp
-	parentScratch  []int
-	orderScratch   []*poolState
-	deficitScratch []float64
-	jobScratch     []*JobHandle
+	templates    map[string]*jobTemplate
+	templateHits int // cache hits served, for tests
+	// noTemplateCache bypasses the template cache: every submission builds
+	// its template fresh. Only this package's tests set it, to prove cached
+	// and uncached runs bit-identical.
+	noTemplateCache bool
+	fpScratch       []byte
+	attemptSlab     []attempt
+	taskSlab        []task.Task
+	completionPool  []*completionOp
+	timeoutPool     []*timeoutOp
+	parentScratch   []int
+	orderScratch    []*poolState
+	deficitScratch  []float64
+	jobScratch      []*JobHandle
 }
 
-// New builds a driver over one executor per cluster machine, in machine
-// order, with default policies.
-func New(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor) (*Driver, error) {
-	return NewWithConfig(c, fs, execs, Config{})
-}
-
-// NewWithConfig is New with explicit driver policies.
+// NewWithConfig builds a driver over one executor per cluster machine, in
+// machine order, with the policies in cfg (the zero Config is the defaults).
 func NewWithConfig(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, cfg Config) (*Driver, error) {
 	if len(execs) != c.Size() {
 		return nil, fmt.Errorf("jobsched: %d executors for %d machines", len(execs), c.Size())

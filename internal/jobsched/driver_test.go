@@ -70,7 +70,7 @@ func fakeDriver(t *testing.T, c *cluster.Cluster, slots int, dur sim.Duration) (
 		fakes[i] = &fakeExec{id: i, slots: slots, duration: dur, eng: c.Engine}
 		execs[i] = fakes[i]
 	}
-	d, err := New(c, fs, execs)
+	d, err := NewWithConfig(c, fs, execs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestShuffleFetchesResolved(t *testing.T) {
 			}
 		}}
 	}
-	d, _ := New(c, fs, fakes)
+	d, _ := NewWithConfig(c, fs, fakes, Config{})
 	job := &task.JobSpec{Name: "j", Stages: []*task.StageSpec{
 		{ID: 0, Name: "map", NumTasks: 4, OpCPU: 1, ShuffleOutBytes: 1000},
 		{ID: 1, Name: "reduce", NumTasks: 2, OpCPU: 1, ParentIDs: []int{0}},
@@ -197,7 +197,7 @@ func TestLocalityPreferred(t *testing.T) {
 			}
 		}}
 	}
-	d, _ := New(c, fs, execs)
+	d, _ := NewWithConfig(c, fs, execs, Config{})
 	job := &task.JobSpec{Name: "j", Stages: []*task.StageSpec{
 		{ID: 0, Name: "map", NumTasks: 8, OpCPU: 1, InputBlocks: f.Blocks},
 	}}
@@ -242,7 +242,7 @@ func TestDriverWithMonotasksExecutor(t *testing.T) {
 	for i, w := range g.Workers {
 		execs[i] = w
 	}
-	d, _ := New(c, fs, execs)
+	d, _ := NewWithConfig(c, fs, execs, Config{})
 	job := &task.JobSpec{Name: "wc", Stages: []*task.StageSpec{
 		{ID: 0, Name: "map", NumTasks: 4, OpCPU: 0.5, InputBlocks: f.Blocks, ShuffleOutBytes: 16e6},
 		{ID: 1, Name: "reduce", NumTasks: 2, OpCPU: 0.3, ParentIDs: []int{0}, OutputBytes: 8e6},
@@ -277,7 +277,7 @@ func TestDriverWithPipelinedExecutor(t *testing.T) {
 	for i, w := range g.Workers {
 		execs[i] = w
 	}
-	d, _ := New(c, fs, execs)
+	d, _ := NewWithConfig(c, fs, execs, Config{})
 	job := &task.JobSpec{Name: "wc", Stages: []*task.StageSpec{
 		{ID: 0, Name: "map", NumTasks: 4, OpCPU: 0.5, InputBlocks: f.Blocks, ShuffleOutBytes: 16e6},
 		{ID: 1, Name: "reduce", NumTasks: 2, OpCPU: 0.3, ParentIDs: []int{0}, OutputBytes: 8e6},
@@ -304,7 +304,7 @@ func TestInMemoryInputStage(t *testing.T) {
 		record:   func(tk *task.Task) { seen = tk },
 	}}
 	fs, _ := dfs.New(dfs.Config{Machines: 1, DisksPerMachine: 1})
-	d, _ := New(c, fs, execs)
+	d, _ := NewWithConfig(c, fs, execs, Config{})
 	job := &task.JobSpec{Name: "m", Stages: []*task.StageSpec{
 		{ID: 0, Name: "cached", NumTasks: 1, OpCPU: 1, InputFromMem: true, InputBytesPerTask: 123},
 	}}
@@ -326,14 +326,14 @@ func TestSubmitErrors(t *testing.T) {
 func TestNewErrors(t *testing.T) {
 	c := testCluster(t, 2)
 	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 1})
-	if _, err := New(c, fs, nil); err == nil {
+	if _, err := NewWithConfig(c, fs, nil, Config{}); err == nil {
 		t.Fatal("executor count mismatch accepted")
 	}
 	bad := []task.Executor{
 		&fakeExec{id: 1, slots: 1, duration: 1, eng: c.Engine},
 		&fakeExec{id: 0, slots: 1, duration: 1, eng: c.Engine},
 	}
-	if _, err := New(c, fs, bad); err == nil {
+	if _, err := NewWithConfig(c, fs, bad, Config{}); err == nil {
 		t.Fatal("misordered executors accepted")
 	}
 }
@@ -348,7 +348,7 @@ func TestDeterminism(t *testing.T) {
 		for i, w := range g.Workers {
 			execs[i] = w
 		}
-		d, _ := New(c, fs, execs)
+		d, _ := NewWithConfig(c, fs, execs, Config{})
 		job := &task.JobSpec{Name: "j", Stages: []*task.StageSpec{
 			{ID: 0, Name: "map", NumTasks: 16, OpCPU: 0.5, InputBlocks: f.Blocks, ShuffleOutBytes: 32e6},
 			{ID: 1, Name: "reduce", NumTasks: 8, OpCPU: 0.3, ParentIDs: []int{0}, OutputBytes: 8e6},

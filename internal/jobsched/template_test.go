@@ -1,8 +1,12 @@
 package jobsched
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -51,18 +55,20 @@ func TestTemplateCacheReuseAndBypass(t *testing.T) {
 		t.Fatal("different task count reused a mismatched template")
 	}
 
-	// Per-driver disable: every lookup builds fresh.
-	_, off := monoDriver(t, 2, Config{DisableControlPlaneCache: true})
-	first := off.templateFor(specA)
-	if second := off.templateFor(specA); second == first {
-		t.Fatal("DisableControlPlaneCache still memoized templates")
+	if d.templateHits != 1 {
+		t.Fatalf("templateHits = %d, want 1", d.templateHits)
 	}
 
-	// Package-level disable: same contract, flipped globally.
-	prev := SetTemplateCache(false)
-	defer SetTemplateCache(prev)
+	// Bypass: every lookup builds fresh, even on a warm cache.
+	d.noTemplateCache = true
 	if got := d.templateFor(specA); got == tplA {
-		t.Fatal("SetTemplateCache(false) still served the cached template")
+		t.Fatal("bypassed driver still served the cached template")
+	}
+	if second := d.templateFor(specA); second == d.templateFor(specA) {
+		t.Fatal("bypassed driver memoized templates")
+	}
+	if d.templateHits != 1 {
+		t.Fatalf("bypassed lookups counted as hits: templateHits = %d", d.templateHits)
 	}
 }
 
@@ -88,14 +94,21 @@ func TestTemplateCollisionGuard(t *testing.T) {
 }
 
 // TestInstantiateMatchesDirectBuild submits the same diamond through a
-// cached template and through a cache-disabled driver and compares every
+// cached template and through a cache-bypassing driver and compares every
 // piece of initial stage state.
 func TestInstantiateMatchesDirectBuild(t *testing.T) {
 	_, cached := monoDriver(t, 2, Config{})
-	_, direct := monoDriver(t, 2, Config{DisableControlPlaneCache: true})
+	_, direct := monoDriver(t, 2, Config{})
+	direct.noTemplateCache = true
+	if _, err := cached.Submit(diamondSpec("warm", 3)); err != nil {
+		t.Fatal(err)
+	}
 	ha, err := cached.Submit(diamondSpec("a", 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cached.templateHits != 1 {
+		t.Fatalf("second submission missed the template cache (hits = %d)", cached.templateHits)
 	}
 	hb, err := direct.Submit(diamondSpec("b", 3))
 	if err != nil {
@@ -112,6 +125,67 @@ func TestInstantiateMatchesDirectBuild(t *testing.T) {
 		}
 		if len(a.attempts) != a.spec.NumTasks || len(b.attempts) != b.spec.NumTasks {
 			t.Fatalf("stage %d attempts sized %d/%d, want %d", i, len(a.attempts), len(b.attempts), a.spec.NumTasks)
+		}
+	}
+}
+
+// TestTemplateCacheStreamBitIdentical runs one arrival stream of same-shaped
+// jobs on a single driver twice — with the template cache, and with it
+// bypassed — and requires the cache to serve hits and every per-job metric
+// to match at full float precision. Reused templates must never leak
+// control-plane state from one job into the next.
+func TestTemplateCacheStreamBitIdentical(t *testing.T) {
+	const jobs = 10
+	stream := func(bypass bool) (string, int) {
+		c, d := monoDriver(t, 3, Config{})
+		d.noTemplateCache = bypass
+		handles := make([]*JobHandle, jobs)
+		for i := range handles {
+			// Staggered arrivals overlap jobs at different DAG phases.
+			c.Engine.At(sim.Time(0.7*float64(i)), func() {
+				h, err := d.Submit(diamondSpec(fmt.Sprintf("j%d", i), 6))
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+				}
+				handles[i] = h
+			})
+		}
+		d.Run()
+		var b strings.Builder
+		for i, h := range handles {
+			if h == nil || !h.Done() {
+				t.Fatalf("bypass=%v: job %d did not complete", bypass, i)
+			}
+			writeJobMetrics(&b, h.Metrics)
+		}
+		return b.String(), d.templateHits
+	}
+	cached, hits := stream(false)
+	direct, bypassHits := stream(true)
+	if hits != jobs-1 {
+		t.Fatalf("cached stream served %d template hits, want %d", hits, jobs-1)
+	}
+	if bypassHits != 0 {
+		t.Fatalf("bypassed stream served %d template hits", bypassHits)
+	}
+	if cached != direct {
+		t.Fatalf("template cache changed per-job metrics:\ncached:\n%s\ndirect:\n%s", cached, direct)
+	}
+}
+
+// writeJobMetrics renders every timestamp of a job's metrics exactly (the
+// shortest round-tripping float form), with its task placement.
+func writeJobMetrics(b *strings.Builder, jm *task.JobMetrics) {
+	f := func(v sim.Time) string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
+	fmt.Fprintf(b, "%s %s %s\n", jm.Name, f(jm.Start), f(jm.End))
+	for _, st := range jm.Stages {
+		fmt.Fprintf(b, " stage %d %s %s\n", st.Spec.ID, f(st.Start), f(st.End))
+		for _, tm := range st.Tasks {
+			fmt.Fprintf(b, "  task %d m%d %s %s", tm.Index, tm.Machine, f(tm.Start), f(tm.End))
+			for _, m := range tm.Monotasks {
+				fmt.Fprintf(b, " %v", m)
+			}
+			b.WriteByte('\n')
 		}
 	}
 }

@@ -4,6 +4,7 @@ package run
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -50,12 +51,14 @@ func (m Mode) String() string {
 
 // Options configure a run.
 type Options struct {
+	// Mode selects the executor built on every machine.
 	Mode Mode
 	// TasksPerMachine overrides the Spark slot count (Fig. 18's knob).
 	// Ignored by Monotasks, which configures concurrency per resource.
 	TasksPerMachine int
-	// Mono and Pipe tune the respective executors further.
+	// Mono tunes the Monotasks executor further.
 	Mono core.Options
+	// Pipe tunes the Spark executors (both Spark modes) further.
 	Pipe pipeexec.Options
 	// Faults, when set, is installed into whichever executor the mode
 	// selects (shorthand for setting Mono.Faults / Pipe.Faults).
@@ -148,31 +151,124 @@ func installAbort(ctx context.Context, e *sim.Engine, o Options) func() {
 	return func() { e.SetAbortCheck(0, nil) }
 }
 
+// Run is one assembled simulation: a driver over a cluster's executors,
+// the optional telemetry sampler Options asks for, and the abort policy
+// Options and the caller's context set. It is the only place a simulation is
+// built and drained — Jobs, JobsAt, the figure harness, monosim, and
+// monospark all go through it — so every run honours the same deadline,
+// cancellation, and telemetry contract.
+//
+// Build one with New (or NewWith over caller-built executors), submit work
+// through Driver or SubmitAt, then drain it with Wait. A Run is single-use.
+type Run struct {
+	c       *cluster.Cluster
+	d       *jobsched.Driver
+	o       Options
+	sampler *telemetry.Sampler
+	// submitErr is the first failed SubmitAt arrival, reported by Wait.
+	submitErr error
+}
+
+// New builds a run over c: one executor per machine in o's mode, a driver
+// under o.Sched, and — when o.Telemetry is set — a live sampler.
+func New(c *cluster.Cluster, fs *dfs.FS, o Options) (*Run, error) {
+	return NewWith(c, fs, Executors(c, o), o)
+}
+
+// NewWith is New over caller-built executors, for callers that keep the
+// executor handles (to inspect queues after the run, or to reuse them across
+// runs). The executor-shaping fields of o (Mode, TasksPerMachine, Mono,
+// Pipe, Faults) are not consulted; everything else is.
+func NewWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, o Options) (*Run, error) {
+	d, err := jobsched.NewWithConfig(c, fs, execs, o.Sched)
+	if err != nil {
+		return nil, err
+	}
+	r := &Run{c: c, d: d, o: o}
+	if o.Telemetry != nil {
+		r.sampler = telemetry.Start(c, d, *o.Telemetry)
+	}
+	return r, nil
+}
+
+// Driver is the run's job driver: submit jobs, fail or recover machines, and
+// read scheduler state through it before and during Wait.
+func (r *Run) Driver() *jobsched.Driver { return r.d }
+
+// SubmitAt schedules an open-loop arrival schedule: each job is submitted
+// at its arrival time while the run executes, without waiting for earlier
+// jobs. The returned handles fill in as jobs arrive, in schedule order. An
+// arrival before the cluster clock, or one without a spec, is rejected up
+// front — it cannot be scheduled, and letting it reach the engine would
+// panic. A submission that the driver rejects on arrival is reported by Wait.
+func (r *Run) SubmitAt(subs []Submission) ([]*jobsched.JobHandle, error) {
+	now := r.c.Engine.Now()
+	for i, s := range subs {
+		if s.Spec == nil {
+			return nil, fmt.Errorf("run: submission %d has no job spec", i)
+		}
+		if s.At < now {
+			return nil, fmt.Errorf("run: submission %d (%q) arrives at t=%v, before the cluster clock %v", i, s.Spec.Name, s.At, now)
+		}
+	}
+	handles := make([]*jobsched.JobHandle, len(subs))
+	for i, s := range subs {
+		r.c.Engine.At(s.At, func() {
+			h, err := r.d.SubmitWith(s.Spec, s.Opts)
+			if err != nil && r.submitErr == nil {
+				r.submitErr = fmt.Errorf("run: submitting job %d (%q): %w", i, s.Spec.Name, err)
+			}
+			handles[i] = h
+		})
+	}
+	return handles, nil
+}
+
+// Wait drains the run: it arms the abort check for ctx and the Options
+// deadlines, runs the driver until every job finishes or an abort fires,
+// disarms, and finishes telemetry (stopping the sampler and handing it to
+// Options.OnTelemetry). It returns every submitted job's metrics in
+// submission order. On abort the error is an *AbortError and the metrics are
+// the partial results: unfinished jobs are failed and end-stamped at the
+// abort time. A SubmitAt arrival the driver rejected takes precedence over
+// an abort. The check rides the engine's event loop, so a run that is never
+// aborted is byte-identical to one executed without a context.
+func (r *Run) Wait(ctx context.Context) ([]*task.JobMetrics, error) {
+	disarm := installAbort(ctx, r.c.Engine, r.o)
+	ms := r.d.Run()
+	disarm()
+	r.finishTelemetry()
+	aerr := r.finishAborted()
+	if r.submitErr != nil {
+		return ms, r.submitErr
+	}
+	return ms, aerr
+}
+
 // finishAborted converts a fired engine abort into the caller-facing
 // *AbortError, failing unfinished jobs so their handles and metrics are
 // clean, and re-arms the engine for reuse. Returns nil if no abort fired.
-func finishAborted(e *sim.Engine, d *jobsched.Driver) error {
+func (r *Run) finishAborted() error {
+	e := r.c.Engine
 	reason := e.AbortErr()
 	if reason == nil {
 		return nil
 	}
 	e.ClearAbort()
 	aerr := &AbortError{Reason: reason, At: e.Now()}
-	d.AbortAll(aerr)
+	r.d.AbortAll(aerr)
 	return aerr
 }
 
-// startTelemetry attaches a sampler per Options, returning a finish hook.
-func (o Options) startTelemetry(c *cluster.Cluster, d *jobsched.Driver) func() {
-	if o.Telemetry == nil {
-		return func() {}
+// finishTelemetry stops the run's sampler, if any, and hands it to
+// Options.OnTelemetry.
+func (r *Run) finishTelemetry() {
+	if r.sampler == nil {
+		return
 	}
-	s := telemetry.Start(c, d, *o.Telemetry)
-	return func() {
-		s.Stop()
-		if o.OnTelemetry != nil {
-			o.OnTelemetry(s)
-		}
+	r.sampler.Stop()
+	if r.o.OnTelemetry != nil {
+		r.o.OnTelemetry(r.sampler)
 	}
 }
 
@@ -211,17 +307,6 @@ func Executors(c *cluster.Cluster, o Options) []task.Executor {
 	return execs
 }
 
-// Driver builds a ready driver over c in the requested mode.
-func Driver(c *cluster.Cluster, fs *dfs.FS, o Options) (*jobsched.Driver, error) {
-	return jobsched.NewWithConfig(c, fs, Executors(c, o), o.Sched)
-}
-
-// DriverWith builds a driver over pre-built executors (callers that need to
-// keep executor handles for inspection).
-func DriverWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor) (*jobsched.Driver, error) {
-	return jobsched.New(c, fs, execs)
-}
-
 // Jobs executes specs (submitted together, so they run concurrently) and
 // returns their metrics in submission order. Options deadlines (virtual or
 // wall-clock) are honoured; for cancellation from a caller's context use
@@ -237,32 +322,27 @@ func Jobs(c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]
 // loop, so an un-cancelled run is byte-identical to one executed without a
 // context.
 func JobsContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]*task.JobMetrics, error) {
-	d, err := Driver(c, fs, o)
+	r, err := New(c, fs, o)
 	if err != nil {
 		return nil, err
 	}
-	finish := o.startTelemetry(c, d)
 	for _, s := range specs {
-		if _, err := d.Submit(s); err != nil {
-			finish()
+		if _, err := r.d.Submit(s); err != nil {
+			r.finishTelemetry()
 			return nil, err
 		}
 	}
-	disarm := installAbort(ctx, c.Engine, o)
-	ms := d.Run()
-	disarm()
-	finish()
-	if aerr := finishAborted(c.Engine, d); aerr != nil {
-		return ms, aerr
-	}
-	return ms, nil
+	return r.Wait(ctx)
 }
 
 // Submission is one job of an open-loop arrival schedule: a spec, the
 // virtual time it arrives at the driver, and its scheduling tags.
 type Submission struct {
+	// Spec is the job to submit.
 	Spec *task.JobSpec
-	At   sim.Time
+	// At is the virtual time the job arrives at the driver.
+	At sim.Time
+	// Opts carries the job's pool, priority, and deadline tags.
 	Opts jobsched.SubmitOptions
 }
 
@@ -279,41 +359,21 @@ func JobsAt(c *cluster.Cluster, fs *dfs.FS, o Options, subs []Submission) ([]*jo
 // An arrival schedule with a negative arrival time is rejected up front — it
 // cannot be scheduled, and letting it reach the engine would panic.
 func JobsAtContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options, subs []Submission) ([]*jobsched.JobHandle, error) {
-	for i, s := range subs {
-		if s.Spec == nil {
-			return nil, fmt.Errorf("run: submission %d has no job spec", i)
-		}
-		if s.At < c.Engine.Now() {
-			return nil, fmt.Errorf("run: submission %d (%q) arrives at t=%v, before the cluster clock %v", i, s.Spec.Name, s.At, c.Engine.Now())
-		}
-	}
-	d, err := Driver(c, fs, o)
+	r, err := New(c, fs, o)
 	if err != nil {
 		return nil, err
 	}
-	finish := o.startTelemetry(c, d)
-	handles := make([]*jobsched.JobHandle, len(subs))
-	var submitErr error
-	for i, s := range subs {
-		i, s := i, s
-		c.Engine.At(s.At, func() {
-			h, err := d.SubmitWith(s.Spec, s.Opts)
-			if err != nil && submitErr == nil {
-				submitErr = fmt.Errorf("run: submitting job %d (%q): %w", i, s.Spec.Name, err)
-			}
-			handles[i] = h
-		})
+	handles, err := r.SubmitAt(subs)
+	if err != nil {
+		r.finishTelemetry()
+		return nil, err
 	}
-	disarm := installAbort(ctx, c.Engine, o)
-	d.Run()
-	disarm()
-	finish()
-	aerr := finishAborted(c.Engine, d)
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if aerr != nil {
-		return handles, aerr
+	if _, err := r.Wait(ctx); err != nil {
+		var aerr *AbortError
+		if errors.As(err, &aerr) {
+			return handles, err
+		}
+		return nil, err
 	}
 	return handles, nil
 }

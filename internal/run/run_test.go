@@ -1,6 +1,7 @@
 package run
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/jobsched"
 	"repro/internal/pipeexec"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 )
 
 func TestModeStrings(t *testing.T) {
@@ -148,5 +150,63 @@ func TestWriteThroughModeForcesWriteback(t *testing.T) {
 	}
 	if durations[SparkWriteThrough] <= durations[Spark] {
 		t.Fatalf("flush mode %v ≤ buffered mode %v", durations[SparkWriteThrough], durations[Spark])
+	}
+}
+
+// TestNewWithHonoursSched builds a run over caller-built executors and
+// requires the driver to carry Options.Sched: a job submitted into a pool
+// declared only there must be admitted.
+func TestNewWithHonoursSched(t *testing.T) {
+	c := cluster.MustNew(2, cluster.M2_4XLarge())
+	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
+	o := Options{Mode: Monotasks, Sched: jobsched.Config{
+		Pools: []jobsched.PoolConfig{{Name: "p", Weight: 2}},
+	}}
+	r, err := NewWith(c, fs, Executors(c, o), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &task.JobSpec{Name: "x", Stages: []*task.StageSpec{{ID: 0, Name: "x", NumTasks: 4, OpCPU: 1}}}
+	h, err := r.Driver().SubmitWith(spec, jobsched.SubmitOptions{Pool: "p"})
+	if err != nil {
+		t.Fatalf("pool from Options.Sched not declared on the driver: %v", err)
+	}
+	if _, err := r.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !h.Done() {
+		t.Fatalf("job did not complete: %v", h.Err())
+	}
+}
+
+// TestWaitFinishesTelemetry checks the telemetry half of Wait: the sampler
+// New starts is stopped and handed to OnTelemetry exactly once, with the
+// run's final snapshot in its ring.
+func TestWaitFinishesTelemetry(t *testing.T) {
+	c := cluster.MustNew(2, cluster.M2_4XLarge())
+	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
+	var got []*telemetry.Sampler
+	o := Options{Mode: Monotasks, Telemetry: &telemetry.Config{},
+		OnTelemetry: func(s *telemetry.Sampler) { got = append(got, s) }}
+	r, err := New(c, fs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &task.JobSpec{Name: "x", Stages: []*task.StageSpec{{ID: 0, Name: "x", NumTasks: 8, OpCPU: 2}}}
+	if _, err := r.SubmitAt([]Submission{{Spec: spec, At: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatal("OnTelemetry fired before Wait")
+	}
+	if _, err := r.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("OnTelemetry fired %d times, want 1", len(got))
+	}
+	snaps := got[0].Snapshots()
+	if len(snaps) == 0 || !snaps[len(snaps)-1].Final {
+		t.Fatalf("sampler ring has no final snapshot (%d snapshots)", len(snaps))
 	}
 }

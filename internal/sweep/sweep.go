@@ -9,77 +9,34 @@
 // and because collection is by cell index (not completion order), the
 // assembled output of a parallel sweep is byte-identical to a serial one.
 // internal/figures runs all of its grids through this package, and
-// cmd/monobench exposes the worker count as --parallel.
+// cmd/monobench exposes the worker count as --parallel and the deadline as
+// --timeout.
 //
-// The process-wide default worker count starts at runtime.NumCPU and can be
-// changed with SetParallelism; Run uses it, RunWorkers takes an explicit
-// count. With one worker the cells run inline on the calling goroutine, so
-// --parallel 1 is exactly the pre-sweep serial execution.
+// Run is the one entry point; the caller passes the worker count and the
+// deadline, so there is no process-wide state. With one worker the cells run
+// inline on the calling goroutine, so --parallel 1 is exactly the pre-sweep
+// serial execution.
 package sweep
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// defaultWorkers is the process-wide worker count used by Run. It is atomic
-// so experiment code and flag parsing may race harmlessly.
-var defaultWorkers atomic.Int64
-
-func init() {
-	defaultWorkers.Store(int64(runtime.NumCPU()))
-}
-
-// Parallelism reports the current process-wide default worker count.
-func Parallelism() int { return int(defaultWorkers.Load()) }
-
-// SetParallelism sets the process-wide default worker count used by Run.
-// Values below 1 are clamped to 1 (serial, inline execution).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// deadline is the process-wide wall-clock cutoff for sweep cells (zero =
-// none). Cells not yet started when it passes fail with a deadline error
-// instead of running; in-flight cells are aborted cooperatively by runners
-// that thread Deadline() into run.Options.WallDeadline (internal/figures
-// does). This is the mechanism behind monobench --timeout.
-var deadline atomic.Value // time.Time
-
-// SetDeadline installs (or, with a zero time, clears) the process-wide cell
-// deadline.
-func SetDeadline(t time.Time) { deadline.Store(t) }
-
-// Deadline reports the current cell deadline (zero when none is set).
-func Deadline() time.Time {
-	t, _ := deadline.Load().(time.Time)
-	return t
-}
 
 // errSweepDeadline fails cells that were never started. It matches
 // context.DeadlineExceeded via errors.Is, like the run layer's own deadline
 // aborts, so callers can treat every timeout shape alike.
 var errSweepDeadline = fmt.Errorf("sweep deadline exceeded before the cell started: %w", context.DeadlineExceeded)
 
-// deadlinePassed reports whether the sweep deadline is set and behind us.
-func deadlinePassed() bool {
-	t := Deadline()
-	return !t.IsZero() && time.Now().After(t)
-}
-
 // runCell executes one cell, converting a panic into a per-cell error so a
 // crashing configuration is reported as a failed cell in the sweep's result
 // instead of killing the whole process.
-func runCell[T any](fn func(cell int) (T, error), i int) (v T, err error) {
-	if deadlinePassed() {
+func runCell[T any](deadline time.Time, fn func(cell int) (T, error), i int) (v T, err error) {
+	if !deadline.IsZero() && time.Now().After(deadline) {
 		return v, errSweepDeadline
 	}
 	defer func() {
@@ -109,14 +66,9 @@ func joinCellErrors(errs []error) error {
 	return fmt.Errorf("sweep: %d cells failed: %w", len(failed), errors.Join(failed...))
 }
 
-// Run executes cells 0..cells-1 with fn using the process-wide default
-// parallelism and returns the results indexed by cell. See RunWorkers.
-func Run[T any](cells int, fn func(cell int) (T, error)) ([]T, error) {
-	return RunWorkers(Parallelism(), cells, fn)
-}
-
-// RunWorkers executes cells 0..cells-1 with fn on up to workers goroutines
-// and returns the results indexed by cell. Cells must be independent: fn is
+// Run executes cells 0..cells-1 with fn on up to workers goroutines and
+// returns the results indexed by cell. Fewer than one worker means one: the
+// cells run inline on the calling goroutine. Cells must be independent: fn is
 // called concurrently from multiple goroutines and must not share mutable
 // state across cells.
 //
@@ -126,10 +78,11 @@ func Run[T any](cells int, fn func(cell int) (T, error)) ([]T, error) {
 // in a cell is recovered into that cell's error, annotated with the cell
 // number, so one crashing configuration marks its cell failed instead of
 // killing the sweep; healthy cells still run and their results are returned
-// alongside the error. When a SetDeadline cutoff passes mid-sweep, cells
-// not yet started fail with a deadline error (matching
-// context.DeadlineExceeded) rather than running.
-func RunWorkers[T any](workers, cells int, fn func(cell int) (T, error)) ([]T, error) {
+// alongside the error. When a nonzero deadline passes mid-sweep, cells not
+// yet started fail with a deadline error (matching context.DeadlineExceeded)
+// rather than running; bounding the in-flight cells is the cell's own job
+// (internal/figures passes the same deadline to every run it builds).
+func Run[T any](workers int, deadline time.Time, cells int, fn func(cell int) (T, error)) ([]T, error) {
 	if cells <= 0 {
 		return nil, nil
 	}
@@ -140,7 +93,7 @@ func RunWorkers[T any](workers, cells int, fn func(cell int) (T, error)) ([]T, e
 	}
 	if workers <= 1 {
 		for i := 0; i < cells; i++ {
-			results[i], errs[i] = runCell(fn, i)
+			results[i], errs[i] = runCell(deadline, fn, i)
 		}
 		return results, joinCellErrors(errs)
 	}
@@ -155,7 +108,7 @@ func RunWorkers[T any](workers, cells int, fn func(cell int) (T, error)) ([]T, e
 				if i >= cells {
 					return
 				}
-				results[i], errs[i] = runCell(fn, i)
+				results[i], errs[i] = runCell(deadline, fn, i)
 			}
 		}()
 	}

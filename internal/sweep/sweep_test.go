@@ -12,7 +12,7 @@ import (
 
 func TestResultsInCellOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		got, err := RunWorkers(workers, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := Run(workers, time.Time{}, 50, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,7 +30,7 @@ func TestResultsInCellOrder(t *testing.T) {
 func TestFailedCellsReportedInOrder(t *testing.T) {
 	wantErr := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		got, err := RunWorkers(workers, 20, func(i int) (int, error) {
+		got, err := Run(workers, time.Time{}, 20, func(i int) (int, error) {
 			if i == 7 || i == 13 {
 				return 0, fmt.Errorf("cell says %d: %w", i, wantErr)
 			}
@@ -57,7 +57,7 @@ func TestFailedCellsReportedInOrder(t *testing.T) {
 
 func TestPanicBecomesCellError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		got, err := RunWorkers(workers, 10, func(i int) (int, error) {
+		got, err := Run(workers, time.Time{}, 10, func(i int) (int, error) {
 			if i == 3 {
 				panic("kaput")
 			}
@@ -77,25 +77,22 @@ func TestPanicBecomesCellError(t *testing.T) {
 }
 
 func TestDeadlineFailsUnstartedCells(t *testing.T) {
-	defer SetDeadline(time.Time{})
-	SetDeadline(time.Now().Add(-time.Second))
-	_, err := RunWorkers(4, 8, func(i int) (int, error) {
+	_, err := Run(4, time.Now().Add(-time.Second), 8, func(i int) (int, error) {
 		t.Errorf("cell %d ran past the deadline", i)
 		return i, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired sweep deadline: want DeadlineExceeded in chain, got %v", err)
 	}
-	// Clearing the deadline restores normal operation.
-	SetDeadline(time.Time{})
-	if _, err := RunWorkers(4, 8, func(i int) (int, error) { return i, nil }); err != nil {
+	// A zero deadline means none.
+	if _, err := Run(4, time.Time{}, 8, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatalf("after clearing deadline: %v", err)
 	}
 }
 
 func TestEveryCellRunsExactlyOnce(t *testing.T) {
 	var calls [200]atomic.Int32
-	_, err := RunWorkers(16, len(calls), func(i int) (struct{}, error) {
+	_, err := Run(16, time.Time{}, len(calls), func(i int) (struct{}, error) {
 		calls[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -110,21 +107,30 @@ func TestEveryCellRunsExactlyOnce(t *testing.T) {
 }
 
 func TestZeroCells(t *testing.T) {
-	got, err := Run(0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
+	got, err := Run(4, time.Time{}, 0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("Run(0) = %v, %v; want nil, nil", got, err)
 	}
 }
 
-func TestSetParallelismClamps(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	SetParallelism(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", Parallelism())
-	}
-	SetParallelism(8)
-	if Parallelism() != 8 {
-		t.Fatalf("Parallelism() = %d, want 8", Parallelism())
+// TestNonPositiveWorkersRunInline checks that fewer than one worker clamps
+// to one: the cells run serially, in cell order, on the calling goroutine.
+func TestNonPositiveWorkersRunInline(t *testing.T) {
+	for _, workers := range []int{0, -3} {
+		var order []int
+		if _, err := Run(workers, time.Time{}, 5, func(i int) (int, error) {
+			order = append(order, i) // unsynchronized: -race flags a second goroutine
+			return i, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range order {
+			if c != i {
+				t.Fatalf("workers=%d: cells ran in order %v, want 0..4", workers, order)
+			}
+		}
+		if len(order) != 5 {
+			t.Fatalf("workers=%d: %d cells ran, want 5", workers, len(order))
+		}
 	}
 }

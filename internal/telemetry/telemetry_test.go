@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -241,15 +242,17 @@ func TestSamplerBindResumesAcrossDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		d, err := run.Driver(c, env.FS, run.Options{Mode: run.Monotasks})
+		r, err := run.New(c, env.FS, run.Options{Mode: run.Monotasks})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Bind(d)
-		if _, err := d.Submit(job); err != nil {
+		s.Bind(r.Driver())
+		if _, err := r.Driver().Submit(job); err != nil {
 			t.Fatal(err)
 		}
-		d.Run()
+		if _, err := r.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.Stop()
 	snaps := s.Snapshots()

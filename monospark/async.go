@@ -115,20 +115,14 @@ func (c *Context) AwaitContext(ctx context.Context) ([]*JobRun, error) {
 	}
 	batch := c.pendingAsync
 	c.pendingAsync = nil
-	d, err := jobsched.NewWithConfig(c.cluster, c.fs, c.execs, c.driverConfig())
+	r, err := c.newRun()
 	if err != nil {
 		return nil, err
-	}
-	if c.injector != nil {
-		c.injector.Bind(d)
-	}
-	if c.sampler != nil {
-		c.sampler.Bind(d)
 	}
 	handles := make([]*jobsched.JobHandle, len(batch))
 	var firstErr error
 	for i, a := range batch {
-		h, err := d.SubmitWith(a.spec, jobsched.SubmitOptions{
+		h, err := r.Driver().SubmitWith(a.spec, jobsched.SubmitOptions{
 			Pool:     a.Opts.Pool,
 			Priority: a.Opts.Priority,
 			Deadline: sim.Time(a.Opts.DeadlineSeconds),
@@ -142,7 +136,7 @@ func (c *Context) AwaitContext(ctx context.Context) ([]*JobRun, error) {
 		}
 		handles[i] = h
 	}
-	c.runDriver(ctx, d)
+	c.wait(ctx, r)
 	if aerr := c.aborted; aerr != nil && firstErr == nil {
 		firstErr = aerr
 	}

@@ -2,11 +2,11 @@ package monospark
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/dfs"
-	"repro/internal/jobsched"
 	"repro/internal/run"
 	"repro/internal/task"
 	"repro/internal/workloads"
@@ -393,23 +393,15 @@ func (c *Context) runJobContext(ctx context.Context, spec *task.JobSpec) (*task.
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	d, err := jobsched.NewWithConfig(c.cluster, c.fs, c.execs, c.driverConfig())
+	r, err := c.newRun()
 	if err != nil {
 		return nil, err
 	}
-	if c.injector != nil {
-		// The injector outlives per-job drivers: point it at this one and
-		// replay machines that are currently down into its dead set.
-		c.injector.Bind(d)
-	}
-	if c.sampler != nil {
-		c.sampler.Bind(d)
-	}
-	h, err := d.Submit(spec)
+	h, err := r.Driver().Submit(spec)
 	if err != nil {
 		return nil, err
 	}
-	ms := c.runDriver(ctx, d)
+	ms := c.wait(ctx, r)
 	if err := c.aborted; err != nil {
 		return nil, fmt.Errorf("monospark: %s: %w", spec.Name, err)
 	}
@@ -427,26 +419,37 @@ func (c *Context) usable() error {
 	return nil
 }
 
-// runDriver drains d under ctx's cancellation. On abort it fails the
-// in-flight jobs with a descriptive *run.AbortError and poisons the Context.
-func (c *Context) runDriver(ctx context.Context, d *jobsched.Driver) []*task.JobMetrics {
-	eng := c.cluster.Engine
-	if done := ctx.Done(); done != nil {
-		eng.SetAbortCheck(0, func() error {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-				return nil
-			}
-		})
-		defer eng.SetAbortCheck(0, nil)
+// newRun assembles one action's run over the Context's long-lived cluster
+// state. Each action (or Await batch) gets a fresh driver, but the
+// executors, the fault injector, and the telemetry sampler are built once in
+// New and outlive every driver: the executors are wired to the injector at
+// construction and keep their per-machine state (buffer cache, queue
+// timelines) across actions, the injector's fault plan and dead-machine set
+// span the session's virtual timeline, and the sampler keeps one snapshot
+// stream across all actions. So the run is built over the
+// Context's executors with no telemetry of its own, and the injector and
+// sampler are pointed at its driver — the injector replays machines that are
+// currently down into the new driver's dead set.
+func (c *Context) newRun() (*run.Run, error) {
+	r, err := run.NewWith(c.cluster, c.fs, c.execs, run.Options{Sched: c.driverConfig()})
+	if err != nil {
+		return nil, err
 	}
-	ms := d.Run()
-	if reason := eng.AbortErr(); reason != nil {
-		eng.ClearAbort()
-		aerr := &run.AbortError{Reason: reason, At: eng.Now()}
-		d.AbortAll(aerr)
+	if c.injector != nil {
+		c.injector.Bind(r.Driver())
+	}
+	if c.sampler != nil {
+		c.sampler.Bind(r.Driver())
+	}
+	return r, nil
+}
+
+// wait drains r under ctx's cancellation. On abort the in-flight jobs have
+// failed with a descriptive *run.AbortError, which also poisons the Context.
+func (c *Context) wait(ctx context.Context, r *run.Run) []*task.JobMetrics {
+	ms, err := r.Wait(ctx)
+	var aerr *run.AbortError
+	if errors.As(err, &aerr) {
 		c.aborted = aerr
 	}
 	return ms

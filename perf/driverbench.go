@@ -42,10 +42,11 @@ func BenchMultiJobSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	env, spec := steadySpec(b, c)
-	d, err := run.Driver(c, env.FS, run.Options{Mode: run.Monotasks})
+	r, err := run.New(c, env.FS, run.Options{Mode: run.Monotasks})
 	if err != nil {
 		b.Fatal(err)
 	}
+	d := r.Driver()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
